@@ -26,6 +26,7 @@
 #include "bench/common.h"
 #include "diffusion/batch_sampler.h"
 #include "diffusion/mlp_denoiser.h"
+#include "diffusion/neighborhood.h"
 #include "diffusion/precision.h"
 #include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
@@ -347,7 +348,7 @@ int main(int argc, char** argv) {
       std::vector<int> idx(static_cast<std::size_t>(sub_n));
       bool same = true;
       for (int r = 0; same && r < sub_n; ++r) {
-        diffusion::TabularDenoiser::neighborhood_indices_row(pxk, r, idx.data());
+        diffusion::neighborhood::indices_row(pxk, r, idx.data());
         for (int c = 0; same && c < sub_n; ++c) {
           same = idx[static_cast<std::size_t>(c)] ==
                  diffusion::reference_neighborhood_index(bxk, r, c);
@@ -363,7 +364,7 @@ int main(int argc, char** argv) {
       });
       const double packed_sec = seconds_per_call(sub_reps, [&](int) {
         for (int r = 0; r < sub_n; ++r) {
-          diffusion::TabularDenoiser::neighborhood_indices_row(pxk, r, idx.data());
+          diffusion::neighborhood::indices_row(pxk, r, idx.data());
           guard += idx[0];
         }
       });

@@ -141,6 +141,32 @@ void BM_ReverseStepSequential128(benchmark::State& state) {
 }
 BENCHMARK(BM_ReverseStepSequential128);
 
+// The cascade's coarse scale (128 / 4): guidance's bisection, not the pixel
+// sweep, dominates a step here.
+void BM_ReverseStepSequential32(benchmark::State& state) {
+  Fixture& f = fixture();
+  diffusion::DiffusionSampler s(f.schedule, *f.coarse);
+  util::Rng rng(4);
+  const auto x0 = squish::downsample_majority(f.dataset.topologies[0], 4);
+  const auto xk = diffusion::forward_noise(x0, f.schedule, 30, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.reverse_step(xk, 30, 25, 0, rng));
+  }
+}
+BENCHMARK(BM_ReverseStepSequential32);
+
+// One deterministic MAP sweep of the cascade's fine stage.
+void BM_MapPolish128(benchmark::State& state) {
+  Fixture& f = fixture();
+  diffusion::DiffusionSampler s(f.schedule, *f.fine);
+  util::Rng rng(4);
+  const auto xk = diffusion::forward_noise(f.dataset.topologies[0], f.schedule, 16, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.map_polish(xk, 16, 0));
+  }
+}
+BENCHMARK(BM_MapPolish128);
+
 void BM_CascadeSample128(benchmark::State& state) {
   Fixture& f = fixture();
   util::Rng rng(5);

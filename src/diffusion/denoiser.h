@@ -10,6 +10,7 @@
 // estimator (fast, used by the benches) and an MLP trained with Adam (the
 // neural path), plus a prior-only control.
 
+#include <memory>
 #include <vector>
 
 #include "squish/topology.h"
@@ -27,13 +28,27 @@ class Denoiser {
   virtual void predict_x0(const squish::Topology& xk, int k, int condition,
                           ProbGrid& p0) const = 0;
 
-  /// P(x0=1) for a single pixel. Local-receptive-field denoisers override
-  /// this with an O(1) evaluation; it powers the sequential (Gibbs-style)
-  /// reverse sampler, which re-queries the model as the grid is being
-  /// updated. The default falls back to a full-grid prediction and is only
-  /// acceptable for tests.
-  virtual float predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                                 int condition) const;
+  /// The denoiser at one (k, condition) as a function of a pixel's 17-bit
+  /// neighbourhood index (diffusion/neighborhood.h): every shipped denoiser
+  /// sees x_k only through that index. Per-step constants are bound once by
+  /// at_step(); p0() is what the sequential reverse sweep queries per pixel
+  /// as it updates the grid in place.
+  class StepPredictor {
+   public:
+    virtual ~StepPredictor() = default;
+    /// P(x0=1) for a pixel whose neighbourhood index is `index`.
+    virtual float p0(int index) const = 0;
+  };
+
+  /// Bind (k, condition); throws std::out_of_range on a bad condition. The
+  /// predictor must be queried on the calling thread (it may read the
+  /// thread's PrecisionScope) and must not outlive the denoiser.
+  virtual std::unique_ptr<StepPredictor> at_step(int k, int condition) const = 0;
+
+  /// P(x0=1) for a single pixel: at_step(k, condition)->p0 of its index.
+  /// Equal to the pixel's entry of predict_x0.
+  float predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
+                         int condition) const;
 
   /// Number of conditions (style classes) the denoiser was trained with.
   virtual int conditions() const = 0;
@@ -46,7 +61,7 @@ class Denoiser {
     return -1.0;
   }
 
-  /// True if concurrent predict_x0/predict_x0_pixel calls on one instance
+  /// True if concurrent predict_x0/at_step calls on one instance
   /// are race-free. The tabular and uniform denoisers are pure lookups; the
   /// MLP denoiser routes inference through the stateless nn::Layer::infer
   /// path with per-thread workspaces, so all shipped denoisers return true.
@@ -65,14 +80,7 @@ class UniformDenoiser : public Denoiser {
       : density_(std::move(class_density)) {}
   void predict_x0(const squish::Topology& xk, int k, int condition,
                   ProbGrid& p0) const override;
-  float predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                         int condition) const override {
-    (void)xk;
-    (void)r;
-    (void)c;
-    (void)k;
-    return density_[static_cast<std::size_t>(condition)];
-  }
+  std::unique_ptr<StepPredictor> at_step(int k, int condition) const override;
   int conditions() const override { return static_cast<int>(density_.size()); }
   bool thread_safe_inference() const override { return true; }
   const char* name() const override { return "UniformDenoiser"; }

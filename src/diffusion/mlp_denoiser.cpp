@@ -15,39 +15,20 @@ namespace cp::diffusion {
 
 namespace {
 constexpr int kTimeFeatures = 4;
+static_assert(neighborhood::kCount == TabularDenoiser::kNeighbors);
 
-// Canonical offset table shared with the tabular denoiser; order defines the
-// feature layout.
-constexpr auto& kOffsets = neighborhood::kOffsets;
-
-// Single-reflection boundary padding. Deliberately NOT the tabular denoiser's
-// period-folding mirror: the two rules differ on grids smaller than the
-// distance-4 probes, and each module keeps its historical behaviour.
-inline int mirror(int i, int n) {
-  if (i < 0) return -i;
-  if (i >= n) return 2 * n - 2 - i;
-  return i;
-}
-
-inline void neighbor_features(const squish::Topology& xk, int r, int c, float* out) {
+/// Neighbour features of a pixel from its neighbourhood index: bit i of the
+/// index (offset neighborhood::kOffsets[i]) becomes +1 or -1.
+inline void index_features(int index, float* out) {
   for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {
-    const int rr = mirror(r + kOffsets[i][0], xk.rows());
-    const int cc = mirror(c + kOffsets[i][1], xk.cols());
-    out[i] = xk.at(rr, cc) ? 1.0f : -1.0f;
+    out[i] = ((index >> i) & 1) ? 1.0f : -1.0f;
   }
 }
 
-/// Largest |offset| in kOffsets: pixels at least this far from every border
-/// need no mirror reflection and can read straight from the packed planes.
-constexpr int kNeighborMargin = neighborhood::kMargin;
-
-/// Feature write from the 17 gathered bit-planes: lane j of plane i is the
-/// neighbour-i value of cell (r, word*64 + j). Values are identical to
-/// neighbor_features (same cells), with register shifts instead of 17
-/// scattered loads plus mirror branches.
-inline void neighbor_features_from_planes(const std::uint64_t* planes, int lane, float* out) {
+/// int16 twin of index_features: +/-1 quantizes to exactly +/-127.
+inline void qindex_features(int index, std::int16_t* out) {
   for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {
-    out[i] = ((planes[i] >> lane) & 1u) ? 1.0f : -1.0f;
+    out[i] = ((index >> i) & 1) ? std::int16_t{127} : std::int16_t{-127};
   }
 }
 
@@ -109,23 +90,6 @@ const float* cached_tail(InferCtx& ctx, double t, float flip, int conditions, in
   return ctx.tail.data();
 }
 
-/// int16 twin of neighbor_features: +/-1 quantizes to exactly +/-127.
-inline void qneighbor_features(const squish::Topology& xk, int r, int c, std::int16_t* out) {
-  for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {
-    const int rr = mirror(r + kOffsets[i][0], xk.rows());
-    const int cc = mirror(c + kOffsets[i][1], xk.cols());
-    out[i] = xk.at(rr, cc) ? std::int16_t{127} : std::int16_t{-127};
-  }
-}
-
-/// int16 twin of neighbor_features_from_planes.
-inline void qneighbor_features_from_planes(const std::uint64_t* planes, int lane,
-                                           std::int16_t* out) {
-  for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {
-    out[i] = ((planes[i] >> lane) & 1u) ? std::int16_t{127} : std::int16_t{-127};
-  }
-}
-
 }  // namespace
 
 MlpDenoiser::MlpDenoiser(const NoiseSchedule& schedule, const MlpConfig& config, util::Rng& rng)
@@ -148,7 +112,7 @@ int MlpDenoiser::feature_dim() const {
 
 void MlpDenoiser::pixel_features(const squish::Topology& xk, int r, int c, int k, int condition,
                                  float* out) const {
-  neighbor_features(xk, r, c, out);
+  index_features(neighborhood::index(xk, r, c), out);
   int idx = TabularDenoiser::kNeighbors;
   const double t = static_cast<double>(k) / static_cast<double>(schedule_->steps());
   out[idx++] = static_cast<float>(t);
@@ -176,33 +140,37 @@ bool MlpDenoiser::use_int8() const {
   return (config_.quantized || active_precision() == Precision::kInt8) && net_.quantizable();
 }
 
-float MlpDenoiser::predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                                    int condition) const {
+void MlpDenoiser::predict_x0_indices(const int* indices, int n, int k, int condition,
+                                float* out) const {
   InferCtx& ctx = infer_ctx();
   const int dim = feature_dim();
   const double t = static_cast<double>(k) / static_cast<double>(schedule_->steps());
   const float flip = static_cast<float>(schedule_->cumulative_flip(k));
   const float* tail = cached_tail(ctx, t, flip, config_.conditions, condition);
   const int tail_len = kTimeFeatures + config_.conditions;
-  float logit;
+  const nn::Tensor* logits;
   if (use_int8()) {
     const int pin = nn::gemm::quant_pad(dim);
-    ctx.qfeatures.resize(static_cast<std::size_t>(pin));
-    ctx.qrs.assign(1, 1.0f / 127.0f);
+    ctx.qfeatures.resize(static_cast<std::size_t>(n) * pin);
+    ctx.qrs.assign(static_cast<std::size_t>(n), 1.0f / 127.0f);
     std::int16_t* qrow = ctx.qfeatures.data();
-    qneighbor_features(xk, r, c, qrow);
-    std::copy(ctx.qtail.data(), ctx.qtail.data() + tail_len,
-              qrow + TabularDenoiser::kNeighbors);
-    for (int j = dim; j < pin; ++j) qrow[j] = 0;
-    logit = net_.infer_quantized_pre(1, qrow, ctx.qrs.data(), ctx.ws)[0];
+    for (int i = 0; i < n; ++i, qrow += pin) {
+      qindex_features(indices[i], qrow);
+      std::copy(ctx.qtail.data(), ctx.qtail.data() + tail_len,
+                qrow + TabularDenoiser::kNeighbors);
+      for (int j = dim; j < pin; ++j) qrow[j] = 0;
+    }
+    logits = &net_.infer_quantized_pre(n, ctx.qfeatures.data(), ctx.qrs.data(), ctx.ws);
   } else {
-    ctx.features.resize(1, dim);
+    ctx.features.resize(n, dim);
     float* row = ctx.features.data();
-    neighbor_features(xk, r, c, row);
-    std::copy(tail, tail + tail_len, row + TabularDenoiser::kNeighbors);
-    logit = net_.infer(ctx.features, ctx.ws)[0];
+    for (int i = 0; i < n; ++i, row += dim) {
+      index_features(indices[i], row);
+      std::copy(tail, tail + tail_len, row + TabularDenoiser::kNeighbors);
+    }
+    logits = &net_.infer(ctx.features, ctx.ws);
   }
-  return 1.0f / (1.0f + std::exp(-logit));
+  for (int i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-(*logits)[i]));
 }
 
 void MlpDenoiser::predict_x0_row(const squish::Topology& xk, int r, int k, int condition,
@@ -213,58 +181,9 @@ void MlpDenoiser::predict_x0_row(const squish::Topology& xk, int r, int k, int c
   if (r < 0 || r >= xk.rows()) {
     throw std::out_of_range("MlpDenoiser::predict_x0_row: bad row");
   }
-  InferCtx& ctx = infer_ctx();
-  const int n = xk.cols();
-  const int dim = feature_dim();
-  const double t = static_cast<double>(k) / static_cast<double>(schedule_->steps());
-  const float flip = static_cast<float>(schedule_->cumulative_flip(k));
-  const float* tail = cached_tail(ctx, t, flip, config_.conditions, condition);
-  const int tail_len = kTimeFeatures + config_.conditions;
-  std::uint64_t planes[TabularDenoiser::kNeighbors];
-  const bool r_interior = r >= kNeighborMargin && r < xk.rows() - kNeighborMargin;
-  const nn::Tensor* logits;
-  if (use_int8()) {
-    const int pin = nn::gemm::quant_pad(dim);
-    ctx.qfeatures.resize(static_cast<std::size_t>(n) * pin);
-    ctx.qrs.assign(static_cast<std::size_t>(n), 1.0f / 127.0f);
-    std::int16_t* qrow = ctx.qfeatures.data();
-    int word = -1;
-    for (int c = 0; c < n; ++c, qrow += pin) {
-      if (r_interior && c >= kNeighborMargin && c < n - kNeighborMargin) {
-        if (c >> 6 != word) {
-          word = c >> 6;
-          neighborhood::gather_planes(xk, r, word, planes);
-        }
-        qneighbor_features_from_planes(planes, c & 63, qrow);
-      } else {
-        qneighbor_features(xk, r, c, qrow);
-      }
-      std::copy(ctx.qtail.data(), ctx.qtail.data() + tail_len,
-                qrow + TabularDenoiser::kNeighbors);
-      for (int j = dim; j < pin; ++j) qrow[j] = 0;
-    }
-    logits = &net_.infer_quantized_pre(n, ctx.qfeatures.data(), ctx.qrs.data(), ctx.ws);
-  } else {
-    ctx.features.resize(n, dim);
-    float* row = ctx.features.data();
-    int word = -1;
-    for (int c = 0; c < n; ++c, row += dim) {
-      if (r_interior && c >= kNeighborMargin && c < n - kNeighborMargin) {
-        if (c >> 6 != word) {
-          word = c >> 6;
-          neighborhood::gather_planes(xk, r, word, planes);
-        }
-        neighbor_features_from_planes(planes, c & 63, row);
-      } else {
-        neighbor_features(xk, r, c, row);
-      }
-      std::copy(tail, tail + tail_len, row + TabularDenoiser::kNeighbors);
-    }
-    logits = &net_.infer(ctx.features, ctx.ws);
-  }
-  for (int c = 0; c < n; ++c) {
-    out[c] = 1.0f / (1.0f + std::exp(-(*logits)[c]));
-  }
+  std::vector<int> indices(static_cast<std::size_t>(xk.cols()));
+  neighborhood::indices_row(xk, r, indices.data());
+  predict_x0_indices(indices.data(), xk.cols(), k, condition, out);
 }
 
 void MlpDenoiser::predict_x0(const squish::Topology& xk, int k, int condition,
@@ -272,64 +191,37 @@ void MlpDenoiser::predict_x0(const squish::Topology& xk, int k, int condition,
   if (condition < 0 || condition >= config_.conditions) {
     throw std::out_of_range("MlpDenoiser::predict_x0: bad condition");
   }
-  InferCtx& ctx = infer_ctx();
-  const int n = xk.rows() * xk.cols();
-  const int dim = feature_dim();
-  const double t = static_cast<double>(k) / static_cast<double>(schedule_->steps());
-  const float flip = static_cast<float>(schedule_->cumulative_flip(k));
-  const float* tail = cached_tail(ctx, t, flip, config_.conditions, condition);
-  const int tail_len = kTimeFeatures + config_.conditions;
-  std::uint64_t planes[TabularDenoiser::kNeighbors];
-  const nn::Tensor* logits;
-  if (use_int8()) {
-    const int pin = nn::gemm::quant_pad(dim);
-    ctx.qfeatures.resize(static_cast<std::size_t>(n) * pin);
-    ctx.qrs.assign(static_cast<std::size_t>(n), 1.0f / 127.0f);
-    std::int16_t* qrow = ctx.qfeatures.data();
-    for (int r = 0; r < xk.rows(); ++r) {
-      const bool r_interior = r >= kNeighborMargin && r < xk.rows() - kNeighborMargin;
-      int word = -1;  // word index currently held in `planes`
-      for (int c = 0; c < xk.cols(); ++c, qrow += pin) {
-        if (r_interior && c >= kNeighborMargin && c < xk.cols() - kNeighborMargin) {
-          if (c >> 6 != word) {
-            word = c >> 6;
-            neighborhood::gather_planes(xk, r, word, planes);
-          }
-          qneighbor_features_from_planes(planes, c & 63, qrow);
-        } else {
-          qneighbor_features(xk, r, c, qrow);
-        }
-        std::copy(ctx.qtail.data(), ctx.qtail.data() + tail_len,
-                  qrow + TabularDenoiser::kNeighbors);
-        for (int j = dim; j < pin; ++j) qrow[j] = 0;
-      }
-    }
-    logits = &net_.infer_quantized_pre(n, ctx.qfeatures.data(), ctx.qrs.data(), ctx.ws);
-  } else {
-    ctx.features.resize(n, dim);
-    float* row = ctx.features.data();
-    for (int r = 0; r < xk.rows(); ++r) {
-      const bool r_interior = r >= kNeighborMargin && r < xk.rows() - kNeighborMargin;
-      int word = -1;  // word index currently held in `planes`
-      for (int c = 0; c < xk.cols(); ++c, row += dim) {
-        if (r_interior && c >= kNeighborMargin && c < xk.cols() - kNeighborMargin) {
-          if (c >> 6 != word) {
-            word = c >> 6;
-            neighborhood::gather_planes(xk, r, word, planes);
-          }
-          neighbor_features_from_planes(planes, c & 63, row);
-        } else {
-          neighbor_features(xk, r, c, row);
-        }
-        std::copy(tail, tail + tail_len, row + TabularDenoiser::kNeighbors);
-      }
-    }
-    logits = &net_.infer(ctx.features, ctx.ws);
+  std::vector<int> indices(xk.size());
+  for (int r = 0; r < xk.rows(); ++r) {
+    neighborhood::indices_row(xk, r, indices.data() + static_cast<std::size_t>(r) * xk.cols());
   }
   p0.resize(xk.size());
-  for (std::size_t i = 0; i < p0.size(); ++i) {
-    p0[i] = 1.0f / (1.0f + std::exp(-(*logits)[i]));
+  predict_x0_indices(indices.data(), static_cast<int>(xk.size()), k, condition, p0.data());
+}
+
+namespace {
+/// One single-row inference per query.
+class MlpStep : public Denoiser::StepPredictor {
+ public:
+  MlpStep(const MlpDenoiser& d, int k, int condition) : d_(d), k_(k), condition_(condition) {}
+  float p0(int index) const override {
+    float p;
+    d_.predict_x0_indices(&index, 1, k_, condition_, &p);
+    return p;
   }
+
+ private:
+  const MlpDenoiser& d_;
+  int k_;
+  int condition_;
+};
+}  // namespace
+
+std::unique_ptr<Denoiser::StepPredictor> MlpDenoiser::at_step(int k, int condition) const {
+  if (condition < 0 || condition >= config_.conditions) {
+    throw std::out_of_range("MlpDenoiser::at_step: bad condition");
+  }
+  return std::make_unique<MlpStep>(*this, k, condition);
 }
 
 }  // namespace cp::diffusion

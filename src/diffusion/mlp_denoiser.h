@@ -5,19 +5,19 @@
 // from-scratch NN stack end to end; used by tests, examples and the
 // denoiser ablation bench.
 //
-// Features per pixel: the same 13-cell neighbourhood as the tabular
-// denoiser (values ±1), a 4-dim sinusoidal timestep embedding, and the
-// class condition one-hot — the "condition embedding added to the time
-// embedding" design of the paper collapsed to input features, appropriate
-// for an MLP.
+// Features per pixel: the 17-cell neighbourhood index shared with the
+// tabular denoiser (diffusion/neighborhood.h), one feature per bit (values
+// ±1), a 4-dim sinusoidal timestep embedding, and the class condition
+// one-hot — the "condition embedding added to the time embedding" design of
+// the paper collapsed to input features, appropriate for an MLP.
 //
-// Inference is stateless and thread-safe: predict_x0 / predict_x0_pixel run
-// through nn::Sequential::infer with a thread-local workspace (packed
-// weights cached per Param version, feature/logit buffers reused, and the
-// timestep+condition feature tail computed once per diffusion step instead
-// of once per pixel). Concurrent calls on one instance never race, so
-// thread_safe_inference() returns true and BatchSampler / extension tile
-// waves fan out for the MLP. Training still uses the stateful forward().
+// Inference is stateless and thread-safe: every query runs through
+// nn::Sequential::infer with a thread-local workspace (packed weights cached
+// per Param version, feature/logit buffers reused, and the timestep+condition
+// feature tail computed once per diffusion step instead of once per pixel).
+// Concurrent calls on one instance never race, so thread_safe_inference()
+// returns true and BatchSampler / extension tile waves fan out for the MLP.
+// Training still uses the stateful forward().
 
 #include <memory>
 
@@ -32,10 +32,10 @@ struct MlpConfig {
   int conditions = 2;
   int hidden = 64;
   int layers = 2;  // hidden layers
-  /// Route predict_x0 / predict_x0_pixel / predict_x0_row through the int8
-  /// inference tier unconditionally (DESIGN.md "Quantized inference").
-  /// Request-scoped selection via diffusion::PrecisionScope works regardless
-  /// of this flag; appended last so positional brace-inits stay valid.
+  /// Route every inference query through the int8 inference tier
+  /// unconditionally (DESIGN.md "Quantized inference"). Request-scoped
+  /// selection via diffusion::PrecisionScope works regardless of this flag;
+  /// appended last so positional brace-inits stay valid.
   bool quantized = false;
 };
 
@@ -45,16 +45,15 @@ class MlpDenoiser : public Denoiser {
 
   void predict_x0(const squish::Topology& xk, int k, int condition,
                   ProbGrid& p0) const override;
-  float predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                         int condition) const override;
+  std::unique_ptr<StepPredictor> at_step(int k, int condition) const override;
   /// Batched pixel query: p(x0=1) for every cell of row `r` in one GEMM
-  /// call, writing xk.cols() probabilities to `out`. Equivalent to calling
-  /// predict_x0_pixel per column but amortizes the neighbourhood gather and
-  /// the kernel launch across the row (bit-identical per pixel on the fp32
-  /// path; the interior plane gather produces the same feature values as the
-  /// mirrored per-pixel loads and GEMM rows are independent).
+  /// call, writing xk.cols() probabilities to `out`. Bit-identical per pixel
+  /// to predict_x0_pixel on the fp32 path (GEMM rows are independent).
   void predict_x0_row(const squish::Topology& xk, int r, int k, int condition,
                       float* out) const;
+  /// p(x0=1) for `n` pixels given their neighbourhood indices, in one GEMM
+  /// call: the kernel under every other query.
+  void predict_x0_indices(const int* indices, int n, int k, int condition, float* out) const;
   int conditions() const override { return config_.conditions; }
   /// Inference runs the stateless nn::Layer::infer path with thread-local
   /// scratch — concurrent calls are race-free.

@@ -10,12 +10,12 @@
 // 64 neighbourhood *indices* of the word at once: after the transpose, lane j
 // holds bit i = plane_i bit j, which is exactly the table index of cell j.
 //
-// Callers are responsible for the boundary: planes are only valid for cells
-// with kMargin <= r < rows - kMargin and kMargin <= c < cols - kMargin;
-// border cells keep each denoiser's own scalar mirror fallback (the tabular
-// and MLP denoisers use *different* reflection rules on tiny grids, so the
-// fallbacks deliberately stay per-module). See docs/GRID.md for the idiom.
+// Planes are only valid for cells with kMargin <= r < rows - kMargin and
+// kMargin <= c < cols - kMargin; index() and indices_row() handle the border
+// with the one mirror rule every denoiser shares (fold_mirror). See
+// docs/GRID.md for the idiom.
 
+#include <algorithm>
 #include <cstdint>
 
 #include "geometry/bitgrid.h"
@@ -36,6 +36,19 @@ inline constexpr int kOffsets[kCount][2] = {
 /// Largest |offset| above: cells at least this far from every border need no
 /// mirror reflection.
 inline constexpr int kMargin = 4;
+
+/// Reflect-101 border padding. A single reflection (-i / 2n-2-i) is only
+/// valid while |i - clamp| < n; the cascade's coarse stage runs on grids as
+/// small as rows/factor, where the distance-4 offsets overshoot a whole
+/// period, so fold into the 2n-2 period first and any offset maps inside
+/// [0, n). Wherever a single reflection lands in range, both agree.
+inline int fold_mirror(int i, int n) {
+  if (i >= 0 && i < n) return i;
+  if (n == 1) return 0;
+  const int period = 2 * n - 2;
+  i = ((i % period) + period) % period;
+  return i < n ? i : period - i;
+}
 
 /// Word `wi` of row `rr` funnel-shifted by `dc` columns: bit j of the result
 /// is cell (rr, wi*64 + j + dc). Bits whose source column falls outside the
@@ -68,6 +81,42 @@ inline void gather_indices(const squish::Topology& t, int r, int wi, std::uint64
   gather_planes(t, r, wi, idx);
   for (int i = kCount; i < 64; ++i) idx[i] = 0;
   geometry::bitgrid_transpose64(idx);
+}
+
+/// Neighbourhood index of cell (r, c) with mirror padding: bit i is the
+/// cell at offset kOffsets[i]. The scalar reference path, and the border
+/// fallback of indices_row.
+inline int index(const squish::Topology& t, int r, int c) {
+  int idx = 0;
+  for (int i = 0; i < kCount; ++i) {
+    const int rr = fold_mirror(r + kOffsets[i][0], t.rows());
+    const int cc = fold_mirror(c + kOffsets[i][1], t.cols());
+    idx |= t.at(rr, cc) << i;
+  }
+  return idx;
+}
+
+/// Fill `indices[0..cols)` with the neighbourhood indices of row `r`: the
+/// plane gather word-at-a-time for interior cells, index() for the border.
+/// Bit-identical to calling index() per cell.
+inline void indices_row(const squish::Topology& t, int r, int* indices) {
+  const int rows = t.rows();
+  const int cols = t.cols();
+  if (r < kMargin || r >= rows - kMargin || cols <= 2 * kMargin) {
+    for (int c = 0; c < cols; ++c) indices[c] = index(t, r, c);
+    return;
+  }
+  for (int wi = 0; wi < t.words_per_row(); ++wi) {
+    const int base = wi * 64;
+    const int c_lo = std::max(base, kMargin);
+    const int c_hi = std::min(base + 64, cols - kMargin);
+    if (c_lo >= c_hi) continue;
+    std::uint64_t idx[64];
+    gather_indices(t, r, wi, idx);
+    for (int c = c_lo; c < c_hi; ++c) indices[c] = static_cast<int>(idx[c - base]);
+  }
+  for (int c = 0; c < kMargin; ++c) indices[c] = index(t, r, c);
+  for (int c = cols - kMargin; c < cols; ++c) indices[c] = index(t, r, c);
 }
 
 }  // namespace cp::diffusion::neighborhood

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "diffusion/neighborhood.h"
 #include "obs/registry.h"
 
 namespace cp::diffusion {
@@ -60,6 +63,171 @@ inline double shifted_prob(double p, double lambda) {
   return 1.0 / (1.0 + std::exp(-logit));
 }
 
+// ---- the reverse sweep ------------------------------------------------------
+//
+// Both reverse kernels (the stochastic sequential step and the deterministic
+// MAP polish) are one in-place serpentine sweep in the index domain: each
+// pixel's 17-bit neighbourhood index is read from the live grid, and the
+// denoiser is queried by index. The 17 offsets sit on 7 rows (dr = -4, -2,
+// -1, 0, 1, 2, 4); per pixel, one 9-cell window (columns c-4..c+4) of each
+// row, looked up in a per-row table, yields that row's index bits. Pixels are
+// visited, and the RNG drawn, in exactly the order of the scalar loops kept
+// in diffusion/reference.cpp.
+
+constexpr int kWindow = 2 * neighborhood::kMargin + 1;
+constexpr int kRowCount = 7;
+constexpr int kRowOffsets[kRowCount] = {-4, -2, -1, 0, 1, 2, 4};
+
+/// bits[g][w]: the index bits of the offsets on row dr = kRowOffsets[g] whose
+/// cells are set in window w (bit j = column c + j - kMargin).
+struct WindowTables {
+  int bits[kRowCount][1 << kWindow];
+  constexpr WindowTables() : bits() {
+    for (int g = 0; g < kRowCount; ++g) {
+      for (int w = 0; w < (1 << kWindow); ++w) {
+        for (int i = 0; i < neighborhood::kCount; ++i) {
+          const int j = neighborhood::kOffsets[i][1] + neighborhood::kMargin;
+          if (neighborhood::kOffsets[i][0] == kRowOffsets[g] && ((w >> j) & 1)) {
+            bits[g][w] |= 1 << i;
+          }
+        }
+      }
+    }
+  }
+};
+constexpr WindowTables kWindowTables;
+
+/// neighborhood::index(x, r, c) with the rows of `src` (the mirrored rows
+/// r + kRowOffsets[g]) already resolved: word-parallel window reads for
+/// interior columns, the scalar mirror at the left and right border.
+inline int live_index(const squish::Topology& x, const std::uint64_t* const src[kRowCount],
+                      int r, int c) {
+  if (c < neighborhood::kMargin || c >= x.cols() - neighborhood::kMargin) {
+    return neighborhood::index(x, r, c);
+  }
+  const int lo = c - neighborhood::kMargin;
+  const int word = lo >> 6;
+  const int shift = lo & 63;
+  constexpr std::uint64_t kMask = (1u << kWindow) - 1;
+  int index = 0;
+  if (shift <= 64 - kWindow) {
+    for (int g = 0; g < kRowCount; ++g) {
+      index |= kWindowTables.bits[g][(src[g][word] >> shift) & kMask];
+    }
+  } else {
+    for (int g = 0; g < kRowCount; ++g) {
+      const std::uint64_t v = (src[g][word] >> shift) | (src[g][word + 1] << (64 - shift));
+      index |= kWindowTables.bits[g][v & kMask];
+    }
+  }
+  return index;
+}
+
+/// MAP decisions memoised by neighbourhood index for one sweep: a decision
+/// depends only on the index (the pixel's own value is its centre bit).
+/// Bitsets (2 x 16 KB) plus a bounded list of the indices set, so the reset
+/// costs the number of pixels swept, not 2^17.
+class MapMemo {
+ public:
+  static constexpr int kWords = (1 << neighborhood::kCount) / 64;
+  static constexpr std::size_t kMaxTouched = 2048;
+
+  void reset() {
+    if (known_.empty()) {
+      known_.assign(kWords, 0);
+      value_.assign(kWords, 0);
+      touched_.reserve(kMaxTouched + 1);
+    } else if (touched_.size() > kMaxTouched) {
+      std::fill(known_.begin(), known_.end(), 0);
+    } else {
+      for (int index : touched_) known_[static_cast<std::size_t>(index >> 6)] = 0;
+    }
+    touched_.clear();
+  }
+  /// -1 when undecided, else the decided value.
+  int get(int index) const {
+    const std::size_t w = static_cast<std::size_t>(index >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+    if (!(known_[w] & bit)) return -1;
+    return (value_[w] & bit) ? 1 : 0;
+  }
+  void set(int index, int v) {
+    const std::size_t w = static_cast<std::size_t>(index >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+    known_[w] |= bit;
+    value_[w] = v ? (value_[w] | bit) : (value_[w] & ~bit);
+    if (touched_.size() <= kMaxTouched) touched_.push_back(index);
+  }
+
+ private:
+  std::vector<std::uint64_t> known_, value_;
+  std::vector<int> touched_;
+};
+
+MapMemo& map_memo() {
+  static thread_local MapMemo memo;
+  return memo;
+}
+
+/// Constants of one sweep.
+struct Sweep {
+  const Denoiser::StepPredictor* model;
+  double lambda;           // guidance logit shift
+  double post[2][2];       // posterior_p1(old, x0, flip_0j, flip_jk)
+  bool bottom_up;          // serpentine starts at the last row
+};
+
+Sweep make_sweep(const Denoiser::StepPredictor& model, double lambda, double flip_0j,
+                 double flip_jk, bool bottom_up) {
+  Sweep s{&model, lambda, {}, bottom_up};
+  for (int old = 0; old < 2; ++old) {
+    for (int x0 = 0; x0 < 2; ++x0) s.post[old][x0] = posterior_p1(old, x0, flip_0j, flip_jk);
+  }
+  return s;
+}
+
+/// reverse_p1(old, shifted p0, flip_0j, flip_jk) with the posteriors hoisted.
+inline double sweep_p1(const Sweep& s, int index) {
+  const int old = index & 1;
+  const double p = shifted_prob(s.model->p0(index), s.lambda);
+  return p * s.post[old][1] + (1.0 - p) * s.post[old][0];
+}
+
+/// One in-place serpentine sweep over `x`. With `rng`, each pixel draws
+/// bernoulli(p1) (the sequential reverse step); without, it takes the
+/// argmax p1 > 0.5 (MAP polish), skipping cells set in `keep`.
+void sweep(squish::Topology& x, const Sweep& s, const squish::Topology& keep,
+           util::Rng* rng) {
+  const int rows = x.rows();
+  const int cols = x.cols();
+  MapMemo& memo = map_memo();
+  if (!rng) memo.reset();
+  const std::uint64_t* src[kRowCount];
+  for (int rr = 0; rr < rows; ++rr) {
+    const int r = s.bottom_up ? rows - 1 - rr : rr;
+    const bool reverse_cols = (rr % 2) == 1;
+    for (int g = 0; g < kRowCount; ++g) {
+      src[g] = x.row_words(neighborhood::fold_mirror(r + kRowOffsets[g], rows));
+    }
+    for (int cc = 0; cc < cols; ++cc) {
+      const int c = reverse_cols ? cols - 1 - cc : cc;
+      if (!keep.empty() && keep.at(r, c)) continue;
+      const int index = live_index(x, src, r, c);
+      int v;
+      if (rng) {
+        v = rng->bernoulli(sweep_p1(s, index)) ? 1 : 0;
+      } else {
+        v = memo.get(index);
+        if (v < 0) {
+          v = sweep_p1(s, index) > 0.5 ? 1 : 0;
+          memo.set(index, v);
+        }
+      }
+      if (v != (index & 1)) x.set(r, c, static_cast<std::uint8_t>(v));
+    }
+  }
+}
+
 }  // namespace
 
 double DiffusionSampler::guidance_shift(const squish::Topology& xk, int k_from,
@@ -69,12 +237,33 @@ double DiffusionSampler::guidance_shift(const squish::Topology& xk, int k_from,
   if (target <= 0.0 || target >= 1.0) return 0.0;
   ProbGrid p0;
   denoiser_->predict_x0(xk, k_from, condition, p0);
-  // Bisection on the uniform logit shift.
+  // Bisection on the uniform logit shift. p0 takes few distinct values (one
+  // per distinct neighbourhood index at most), so each value's logit is
+  // taken once and each iteration evaluates one exp per value; the mean is
+  // still summed in pixel order, so the result is the per-pixel loop's.
+  std::vector<float> values(p0);
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  std::vector<std::uint32_t> value_of(p0.size());
+  for (std::size_t i = 0; i < p0.size(); ++i) {
+    value_of[i] = static_cast<std::uint32_t>(
+        std::lower_bound(values.begin(), values.end(), p0[i]) - values.begin());
+  }
+  std::vector<double> logit(values.size()), shifted(values.size());
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    const double pc = std::clamp(static_cast<double>(values[v]), kProbEps, 1.0 - kProbEps);
+    logit[v] = std::log(pc / (1.0 - pc));
+  }
   double lo = -8.0, hi = 8.0;
   for (int iter = 0; iter < 24; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    for (std::size_t v = 0; v < values.size(); ++v) {
+      // shifted_prob: a zero shift (the first midpoint) returns p itself.
+      shifted[v] = mid == 0.0 ? static_cast<double>(values[v])
+                              : 1.0 / (1.0 + std::exp(-(logit[v] + mid)));
+    }
     double mean = 0.0;
-    for (float p : p0) mean += shifted_prob(p, mid);
+    for (std::uint32_t v : value_of) mean += shifted[v];
     mean /= static_cast<double>(p0.size());
     if (mean < target) {
       lo = mid;
@@ -116,18 +305,9 @@ squish::Topology DiffusionSampler::reverse_step_sequential(const squish::Topolog
   // alternates with k_from removes the directional bias a fixed raster
   // order would imprint.
   squish::Topology x = xk;
-  const bool flip_rows = (k_from % 2) == 0;
-  for (int rr = 0; rr < x.rows(); ++rr) {
-    const int r = flip_rows ? x.rows() - 1 - rr : rr;
-    const bool reverse_cols = (rr % 2) == 1;
-    for (int cc = 0; cc < x.cols(); ++cc) {
-      const int c = reverse_cols ? x.cols() - 1 - cc : cc;
-      const std::uint8_t old = x.at(r, c);
-      const float p0 = denoiser_->predict_x0_pixel(x, r, c, k_from, condition);
-      const double p1 = reverse_p1(old, shifted_prob(p0, lambda), flip_0j, flip_jk);
-      x.set(r, c, rng.bernoulli(p1) ? 1 : 0);
-    }
-  }
+  const auto model = denoiser_->at_step(k_from, condition);
+  sweep(x, make_sweep(*model, lambda, flip_0j, flip_jk, k_from % 2 == 0), squish::Topology(),
+        &rng);
   return x;
 }
 
@@ -150,31 +330,20 @@ squish::Topology DiffusionSampler::map_polish(squish::Topology x, int k, int con
     if (target > 0.0 && target < 1.0) {
       ProbGrid p0;
       denoiser_->predict_x0(x, kk, condition, p0);
-      std::vector<float> sorted(p0.begin(), p0.end());
-      std::sort(sorted.begin(), sorted.end());
       const std::size_t idx = static_cast<std::size_t>(
-          std::clamp((1.0 - target) * static_cast<double>(sorted.size() - 1), 0.0,
-                     static_cast<double>(sorted.size() - 1)));
-      const double q = std::clamp(static_cast<double>(sorted[idx]), kProbEps, 1.0 - kProbEps);
+          std::clamp((1.0 - target) * static_cast<double>(p0.size() - 1), 0.0,
+                     static_cast<double>(p0.size() - 1)));
+      std::nth_element(p0.begin(), p0.begin() + static_cast<std::ptrdiff_t>(idx), p0.end());
+      const double q = std::clamp(static_cast<double>(p0[idx]), kProbEps, 1.0 - kProbEps);
       // Move the density-matching quantile to p = 0.5.
       lambda = -std::log(q / (1.0 - q));
       // Keep the correction gentle; the kernel's hysteresis does the rest.
       lambda = std::clamp(lambda, -2.0, 2.0);
     }
   }
-  for (int rr = 0; rr < x.rows(); ++rr) {
-    const int r = (kk % 2 == 0) ? x.rows() - 1 - rr : rr;
-    const bool reverse_cols = (rr % 2) == 1;
-    for (int cc = 0; cc < x.cols(); ++cc) {
-      const int c = reverse_cols ? x.cols() - 1 - cc : cc;
-      if (!keep_mask.empty() && keep_mask.at(r, c)) continue;
-      const std::uint8_t old = x.at(r, c);
-      const float p0 = denoiser_->predict_x0_pixel(x, r, c, kk, condition);
-      // Reverse distribution straight to level 0 (flip_0j = 0).
-      const double p1 = reverse_p1(old, shifted_prob(p0, lambda), 0.0, flip_jk);
-      x.set(r, c, p1 > 0.5 ? 1 : 0);
-    }
-  }
+  // Reverse distribution straight to level 0 (flip_0j = 0).
+  const auto model = denoiser_->at_step(kk, condition);
+  sweep(x, make_sweep(*model, lambda, 0.0, flip_jk, kk % 2 == 0), keep_mask, nullptr);
   return x;
 }
 

@@ -1,7 +1,6 @@
 #include "diffusion/tabular_denoiser.h"
-#include <algorithm>
-#include <cmath>
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -11,25 +10,7 @@
 
 namespace cp::diffusion {
 
-namespace {
-// Neighbourhood offsets (dr, dc); the canonical table lives in
-// diffusion/neighborhood.h and defines the bit layout of the table index.
-constexpr auto& kOffsets = neighborhood::kOffsets;
 static_assert(neighborhood::kCount == TabularDenoiser::kNeighbors);
-
-// Reflect-101 boundary padding. A single reflection (-i / 2n-2-i) is only
-// valid while |i - clamp| < n; the cascade's coarse stage runs on grids as
-// small as rows/factor, where the distance-4 neighbourhood offsets overshoot
-// a whole period and a single reflection lands out of bounds. Fold into the
-// 2n-2 period first so any offset maps inside [0, n).
-inline int mirror(int i, int n) {
-  if (i >= 0 && i < n) return i;
-  if (n == 1) return 0;
-  const int period = 2 * n - 2;
-  i = ((i % period) + period) % period;
-  return i < n ? i : period - i;
-}
-}  // namespace
 
 TabularDenoiser::TabularDenoiser(const NoiseSchedule& schedule, const TabularConfig& config)
     : schedule_(&schedule), config_(config) {
@@ -44,47 +25,11 @@ TabularDenoiser::TabularDenoiser(const NoiseSchedule& schedule, const TabularCon
   density_den_.assign(static_cast<std::size_t>(config.conditions), 0.0);
 }
 
-int TabularDenoiser::neighborhood_index(const squish::Topology& t, int r, int c) {
-  int index = 0;
-  for (int i = 0; i < kNeighbors; ++i) {
-    const int rr = mirror(r + kOffsets[i][0], t.rows());
-    const int cc = mirror(c + kOffsets[i][1], t.cols());
-    index |= (t.at(rr, cc) != 0) << i;
-  }
-  return index;
-}
-
-void TabularDenoiser::neighborhood_indices_row(const squish::Topology& t, int r,
-                                               int* indices) {
-  const int rows = t.rows();
-  const int cols = t.cols();
-  const bool r_interior = r >= neighborhood::kMargin && r < rows - neighborhood::kMargin;
-  if (!r_interior || cols <= 2 * neighborhood::kMargin) {
-    for (int c = 0; c < cols; ++c) indices[c] = neighborhood_index(t, r, c);
-    return;
-  }
-  // Interior columns word-at-a-time: 17 funnel-shifted planes + one 64x64 bit
-  // transpose yield the table index of every lane at once.
-  for (int wi = 0; wi < t.words_per_row(); ++wi) {
-    const int base = wi * 64;
-    const int c_lo = std::max(base, neighborhood::kMargin);
-    const int c_hi = std::min(base + 64, cols - neighborhood::kMargin);
-    if (c_lo >= c_hi) continue;
-    std::uint64_t idx[64];
-    neighborhood::gather_indices(t, r, wi, idx);
-    for (int c = c_lo; c < c_hi; ++c) indices[c] = static_cast<int>(idx[c - base]);
-  }
-  for (int c = 0; c < neighborhood::kMargin; ++c) indices[c] = neighborhood_index(t, r, c);
-  for (int c = cols - neighborhood::kMargin; c < cols; ++c) {
-    indices[c] = neighborhood_index(t, r, c);
-  }
-}
-
 void TabularDenoiser::row_indices(const squish::Topology& t, int r, int* indices) const {
   if (packed_gather_) {
-    neighborhood_indices_row(t, r, indices);
+    neighborhood::indices_row(t, r, indices);
   } else {
-    for (int c = 0; c < t.cols(); ++c) indices[c] = neighborhood_index(t, r, c);
+    for (int c = 0; c < t.cols(); ++c) indices[c] = neighborhood::index(t, r, c);
   }
 }
 
@@ -166,13 +111,34 @@ void TabularDenoiser::predict_x0(const squish::Topology& xk, int k, int conditio
   }
 }
 
-float TabularDenoiser::predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                                        int condition) const {
-  const std::size_t cc = cell(condition, bucket_of(k), neighborhood_index(xk, r, c));
-  const double prior = class_density(condition);
-  const double n1 = static_cast<double>(ones_[cc]);
-  const double n = static_cast<double>(totals_[cc]);
-  return static_cast<float>((n1 + config_.smoothing * prior) / (n + config_.smoothing));
+namespace {
+/// One (condition, bucket) slice of the count tables with the smoothing
+/// prior folded in; the same arithmetic as predict_x0.
+class TabularStep : public Denoiser::StepPredictor {
+ public:
+  TabularStep(const std::uint32_t* ones, const std::uint32_t* totals, double alpha, double prior)
+      : ones_(ones), totals_(totals), alpha_(alpha), alpha_prior_(alpha * prior) {}
+  float p0(int index) const override {
+    const double n1 = static_cast<double>(ones_[index]);
+    const double n = static_cast<double>(totals_[index]);
+    return static_cast<float>((n1 + alpha_prior_) / (n + alpha_));
+  }
+
+ private:
+  const std::uint32_t* ones_;
+  const std::uint32_t* totals_;
+  double alpha_;
+  double alpha_prior_;
+};
+}  // namespace
+
+std::unique_ptr<Denoiser::StepPredictor> TabularDenoiser::at_step(int k, int condition) const {
+  if (condition < 0 || condition >= config_.conditions) {
+    throw std::out_of_range("TabularDenoiser::at_step: bad condition");
+  }
+  const std::size_t base = cell(condition, bucket_of(k), 0);
+  return std::make_unique<TabularStep>(ones_.data() + base, totals_.data() + base,
+                                       config_.smoothing, class_density(condition));
 }
 
 void TabularDenoiser::save(std::ostream& os) const {

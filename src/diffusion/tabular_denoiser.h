@@ -5,7 +5,7 @@
 // P(x0 | x_k, k, c) is well approximated by conditioning on a small
 // neighbourhood of x_k around the pixel. This denoiser learns, by counting
 // over noised training samples, the empirical posterior
-//     P(x0_center = 1 | 13-cell neighbourhood of x_k, timestep bucket, class)
+//     P(x0_center = 1 | 17-cell neighbourhood of x_k, timestep bucket, class)
 // with Laplace smoothing toward the class density. Training is a single
 // streaming pass (seconds on one core), and inference is a table lookup —
 // which is what makes the paper-scale sampling experiments tractable on CPU
@@ -47,8 +47,7 @@ class TabularDenoiser : public Denoiser {
 
   void predict_x0(const squish::Topology& xk, int k, int condition,
                   ProbGrid& p0) const override;
-  float predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,
-                         int condition) const override;
+  std::unique_ptr<StepPredictor> at_step(int k, int condition) const override;
   int conditions() const override { return config_.conditions; }
   double prior_density(int condition) const override { return class_density(condition); }
   /// Inference is a pure table lookup over immutable counts; fit() must not
@@ -58,17 +57,6 @@ class TabularDenoiser : public Denoiser {
 
   /// Empirical class density (fraction of 1s seen in training data).
   double class_density(int condition) const;
-
-  /// Neighbourhood index of pixel (r, c) in `t` with mirror padding — the
-  /// scalar reference path, also used as the border fallback of the packed
-  /// row kernel below.
-  static int neighborhood_index(const squish::Topology& t, int r, int c);
-
-  /// Fill `indices[0..cols)` with the neighbourhood indices of row `r`,
-  /// using the packed plane-gather fast path for interior cells
-  /// (diffusion/neighborhood.h). Bit-identical to calling
-  /// neighborhood_index per cell.
-  static void neighborhood_indices_row(const squish::Topology& t, int r, int* indices);
 
   /// Route fit/predict through the scalar per-cell gather instead of the
   /// packed row kernel. Benchmark/test hook only (before/after rows in

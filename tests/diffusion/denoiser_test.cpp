@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "diffusion/mlp_denoiser.h"
+#include "diffusion/neighborhood.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/transition.h"
 
@@ -35,15 +36,15 @@ TEST(TabularDenoiserTest, NeighborhoodIndexDistinguishesContexts) {
   squish::Topology a(8, 8);
   squish::Topology b(8, 8);
   b.set(4, 4, 1);
-  EXPECT_NE(TabularDenoiser::neighborhood_index(a, 4, 4),
-            TabularDenoiser::neighborhood_index(b, 4, 4));
-  EXPECT_EQ(TabularDenoiser::neighborhood_index(a, 4, 4), 0);
+  EXPECT_NE(neighborhood::index(a, 4, 4),
+            neighborhood::index(b, 4, 4));
+  EXPECT_EQ(neighborhood::index(a, 4, 4), 0);
 }
 
 TEST(TabularDenoiserTest, MirrorPaddingAtBorders) {
   squish::Topology t(8, 8, 1);
   // No out-of-bounds access, full index at corner.
-  EXPECT_EQ(TabularDenoiser::neighborhood_index(t, 0, 0),
+  EXPECT_EQ(neighborhood::index(t, 0, 0),
             (1 << TabularDenoiser::kNeighbors) - 1);
 }
 

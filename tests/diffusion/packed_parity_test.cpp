@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "diffusion/neighborhood.h"
 #include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/trainer.h"
@@ -61,7 +62,7 @@ TEST(PackedParityTest, NeighborhoodIndicesMatchReference) {
     const squish::ByteTopology b(t);
     std::vector<int> idx(static_cast<std::size_t>(s.cols));
     for (int r = 0; r < s.rows; ++r) {
-      TabularDenoiser::neighborhood_indices_row(t, r, idx.data());
+      neighborhood::indices_row(t, r, idx.data());
       for (int c = 0; c < s.cols; ++c) {
         ASSERT_EQ(idx[static_cast<std::size_t>(c)], reference_neighborhood_index(b, r, c))
             << s.rows << "x" << s.cols << " cell (" << r << "," << c << ")";
