@@ -1,24 +1,24 @@
 #pragma once
-// Packed gather of the 17-cell denoiser neighbourhood.
+// The 17-cell denoiser neighbourhood and its packed index reader.
 //
-// Both denoisers condition each pixel on the same neighbourhood (the diamond
-// + ring + distance-4 probes of TabularDenoiser). On the bit-packed grid the
-// whole gather becomes word-parallel for interior rows: each neighbour offset
-// (dr, dc) turns into one funnel-shifted 64-bit "plane" whose bit j is cell
-// (r + dr, w*64 + j + dc), so 17 shifted word reads replace 64x17 scattered
-// byte loads. Transposing the 17 planes (bitgrid_transpose64) then yields all
-// 64 neighbourhood *indices* of the word at once: after the transpose, lane j
-// holds bit i = plane_i bit j, which is exactly the table index of cell j.
+// Every denoiser conditions each pixel on the same neighbourhood (the
+// diamond + ring + distance-4 probes of TabularDenoiser) and sees it as one
+// 17-bit *index*: bit i is the cell at offset kOffsets[i]. The offsets sit
+// on seven rows (dr = -4, -2, -1, 0, +1, +2, +4). Once those rows are
+// resolved for a row r (RowSources, mirrored at the top and bottom border),
+// the index of an interior cell c is read from 9-cell windows
+// (columns c-4..c+4) of the packed row words: one funnel shift per row, one
+// table lookup for the live row, one for the two rows at distance 1, and a
+// single bit each for the distance-2 and distance-4 probes. Cells within
+// kMargin of the left or right border mirror each column instead. See
+// docs/GRID.md for the cost model.
 //
-// Planes are only valid for cells with kMargin <= r < rows - kMargin and
-// kMargin <= c < cols - kMargin; index() and indices_row() handle the border
-// with the one mirror rule every denoiser shares (fold_mirror). See
-// docs/GRID.md for the idiom.
+// The reader always sees the grid as it is at the call, so the sampler's
+// in-place sweep can read indices from the grid it is updating.
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 
-#include "geometry/bitgrid.h"
 #include "squish/topology.h"
 
 namespace cp::diffusion::neighborhood {
@@ -50,73 +50,131 @@ inline int fold_mirror(int i, int n) {
   return i < n ? i : period - i;
 }
 
-/// Word `wi` of row `rr` funnel-shifted by `dc` columns: bit j of the result
-/// is cell (rr, wi*64 + j + dc). Bits whose source column falls outside the
-/// row read as garbage only in lanes the caller must not use (non-interior
-/// columns); no out-of-bounds memory access occurs.
-inline std::uint64_t shifted_row_word(const squish::Topology& t, int rr, int wi, int dc) {
-  const std::uint64_t w = t.word(rr, wi);
-  if (dc == 0) return w;
-  if (dc > 0) {
-    const std::uint64_t hi = (wi + 1 < t.words_per_row()) ? t.word(rr, wi + 1) : 0;
-    return (w >> dc) | (hi << (64 - dc));
+/// The rows the offsets sit on, and each offset's row slot.
+inline constexpr int kRowCount = 7;
+inline constexpr int kRowOffsets[kRowCount] = {-4, -2, -1, 0, 1, 2, 4};
+inline constexpr int row_slot(int dr) {
+  for (int g = 0; g < kRowCount; ++g) {
+    if (kRowOffsets[g] == dr) return g;
   }
-  const std::uint64_t lo = (wi > 0) ? t.word(rr, wi - 1) : 0;
-  return (w << -dc) | (lo >> (64 + dc));
+  return -1;
 }
 
-/// Gather the 17 neighbour planes of word `wi` in row `r`. Requires
-/// kMargin <= r < rows - kMargin (all row reads in range); column validity is
-/// per-lane as described above.
-inline void gather_planes(const squish::Topology& t, int r, int wi,
-                          std::uint64_t planes[kCount]) {
-  for (int i = 0; i < kCount; ++i) {
-    planes[i] = shifted_row_word(t, r + kOffsets[i][0], wi, kOffsets[i][1]);
+/// Row words of the (mirrored) rows r + kRowOffsets[g] of one grid row.
+struct RowSources {
+  const std::uint64_t* row[kRowCount];
+  int cols;
+
+  RowSources(const squish::Topology& t, int r) : cols(t.cols()) {
+    for (int g = 0; g < kRowCount; ++g) {
+      row[g] = t.row_words(fold_mirror(r + kRowOffsets[g], t.rows()));
+    }
   }
-}
+};
 
-/// Gather + transpose: idx[j] is the 17-bit neighbourhood index of cell
-/// (r, wi*64 + j), valid for interior lanes only.
-inline void gather_indices(const squish::Topology& t, int r, int wi, std::uint64_t idx[64]) {
-  gather_planes(t, r, wi, idx);
-  for (int i = kCount; i < 64; ++i) idx[i] = 0;
-  geometry::bitgrid_transpose64(idx);
-}
+namespace detail {
 
-/// Neighbourhood index of cell (r, c) with mirror padding: bit i is the
-/// cell at offset kOffsets[i]. The scalar reference path, and the border
-/// fallback of indices_row.
-inline int index(const squish::Topology& t, int r, int c) {
-  int idx = 0;
+inline constexpr int kWindow = 2 * kMargin + 1;
+
+/// Index bit of offset (dr, dc), or -1.
+inline constexpr int bit_of(int dr, int dc) {
   for (int i = 0; i < kCount; ++i) {
-    const int rr = fold_mirror(r + kOffsets[i][0], t.rows());
-    const int cc = fold_mirror(c + kOffsets[i][1], t.cols());
-    idx |= t.at(rr, cc) << i;
+    if (kOffsets[i][0] == dr && kOffsets[i][1] == dc) return i;
+  }
+  return -1;
+}
+
+/// live[w]: index bits of the dr = 0 offsets for window w of the live row
+/// (window bit j = column c + j - kMargin). ring[w]: index bits of the
+/// dr = -1 (w bits 0..2) and dr = +1 (w bits 3..5) offsets at dc = -1..1.
+struct Tables {
+  int live[1 << kWindow];
+  int ring[1 << 6];
+  constexpr Tables() : live(), ring() {
+    for (int w = 0; w < (1 << kWindow); ++w) {
+      for (int j = 0; j < kWindow; ++j) {
+        const int i = bit_of(0, j - kMargin);
+        if (i >= 0 && ((w >> j) & 1)) live[w] |= 1 << i;
+      }
+    }
+    for (int w = 0; w < (1 << 6); ++w) {
+      for (int j = 0; j < 3; ++j) {
+        if ((w >> j) & 1) ring[w] |= 1 << bit_of(-1, j - 1);
+        if ((w >> (j + 3)) & 1) ring[w] |= 1 << bit_of(1, j - 1);
+      }
+    }
+  }
+};
+inline constexpr Tables kTables;
+
+/// Row slot of each offset, and (row slot, index bit) of the four probes at
+/// distance 2 and 4, which read column c only.
+inline constexpr std::array<int, kCount> kSlot = [] {
+  std::array<int, kCount> slot{};
+  for (int i = 0; i < kCount; ++i) slot[i] = row_slot(kOffsets[i][0]);
+  return slot;
+}();
+inline constexpr int kProbes[4][2] = {{row_slot(-4), bit_of(-4, 0)},
+                                      {row_slot(-2), bit_of(-2, 0)},
+                                      {row_slot(2), bit_of(2, 0)},
+                                      {row_slot(4), bit_of(4, 0)}};
+
+/// The live-row table, the ring table and the probes together cover every
+/// offset.
+inline constexpr bool covers_all_offsets() {
+  int bits = kTables.live[(1 << kWindow) - 1] | kTables.ring[(1 << 6) - 1];
+  for (const auto& probe : kProbes) bits |= 1 << probe[1];
+  return bits == (1 << kCount) - 1;
+}
+static_assert(covers_all_offsets());
+
+}  // namespace detail
+
+/// Neighbourhood index of column c of the row `src` was built for, with
+/// mirror padding.
+inline int index_at(const RowSources& src, int c) {
+  const int cols = src.cols;
+  if (c < kMargin || c >= cols - kMargin) {
+    int idx = 0;
+    for (int i = 0; i < kCount; ++i) {
+      const int cc = fold_mirror(c + kOffsets[i][1], cols);
+      const std::uint64_t* row = src.row[detail::kSlot[i]];
+      idx |= static_cast<int>((row[cc >> 6] >> (cc & 63)) & 1) << i;
+    }
+    return idx;
+  }
+  // Windows of columns c-4..c+4: bits 0..8 of w[g].
+  const int lo = c - kMargin;
+  const int word = lo >> 6;
+  const int shift = lo & 63;
+  std::uint64_t w[kRowCount];
+  if (shift <= 64 - detail::kWindow) {
+    for (int g = 0; g < kRowCount; ++g) w[g] = src.row[g][word] >> shift;
+  } else {
+    for (int g = 0; g < kRowCount; ++g) {
+      w[g] = (src.row[g][word] >> shift) | (src.row[g][word + 1] << (64 - shift));
+    }
+  }
+  constexpr int kLive = row_slot(0), kUp = row_slot(-1), kDown = row_slot(1);
+  const std::uint64_t ring = ((w[kUp] >> (kMargin - 1)) & 7) |
+                             (((w[kDown] >> (kMargin - 1)) & 7) << 3);
+  int idx = detail::kTables.live[w[kLive] & ((1u << detail::kWindow) - 1)] |
+            detail::kTables.ring[ring];
+  for (const auto& [slot, bit] : detail::kProbes) {
+    idx |= static_cast<int>((w[slot] >> kMargin) & 1) << bit;
   }
   return idx;
 }
 
-/// Fill `indices[0..cols)` with the neighbourhood indices of row `r`: the
-/// plane gather word-at-a-time for interior cells, index() for the border.
-/// Bit-identical to calling index() per cell.
+/// Neighbourhood index of cell (r, c) in `t` with mirror padding.
+inline int index(const squish::Topology& t, int r, int c) {
+  return index_at(RowSources(t, r), c);
+}
+
+/// Fill `indices[0..cols)` with the neighbourhood indices of row `r`.
 inline void indices_row(const squish::Topology& t, int r, int* indices) {
-  const int rows = t.rows();
-  const int cols = t.cols();
-  if (r < kMargin || r >= rows - kMargin || cols <= 2 * kMargin) {
-    for (int c = 0; c < cols; ++c) indices[c] = index(t, r, c);
-    return;
-  }
-  for (int wi = 0; wi < t.words_per_row(); ++wi) {
-    const int base = wi * 64;
-    const int c_lo = std::max(base, kMargin);
-    const int c_hi = std::min(base + 64, cols - kMargin);
-    if (c_lo >= c_hi) continue;
-    std::uint64_t idx[64];
-    gather_indices(t, r, wi, idx);
-    for (int c = c_lo; c < c_hi; ++c) indices[c] = static_cast<int>(idx[c - base]);
-  }
-  for (int c = 0; c < kMargin; ++c) indices[c] = index(t, r, c);
-  for (int c = cols - kMargin; c < cols; ++c) indices[c] = index(t, r, c);
+  const RowSources src(t, r);
+  for (int c = 0; c < t.cols(); ++c) indices[c] = index_at(src, c);
 }
 
 }  // namespace cp::diffusion::neighborhood

@@ -67,61 +67,10 @@ inline double shifted_prob(double p, double lambda) {
 //
 // Both reverse kernels (the stochastic sequential step and the deterministic
 // MAP polish) are one in-place serpentine sweep in the index domain: each
-// pixel's 17-bit neighbourhood index is read from the live grid, and the
-// denoiser is queried by index. The 17 offsets sit on 7 rows (dr = -4, -2,
-// -1, 0, 1, 2, 4); per pixel, one 9-cell window (columns c-4..c+4) of each
-// row, looked up in a per-row table, yields that row's index bits. Pixels are
-// visited, and the RNG drawn, in exactly the order of the scalar loops kept
-// in diffusion/reference.cpp.
-
-constexpr int kWindow = 2 * neighborhood::kMargin + 1;
-constexpr int kRowCount = 7;
-constexpr int kRowOffsets[kRowCount] = {-4, -2, -1, 0, 1, 2, 4};
-
-/// bits[g][w]: the index bits of the offsets on row dr = kRowOffsets[g] whose
-/// cells are set in window w (bit j = column c + j - kMargin).
-struct WindowTables {
-  int bits[kRowCount][1 << kWindow];
-  constexpr WindowTables() : bits() {
-    for (int g = 0; g < kRowCount; ++g) {
-      for (int w = 0; w < (1 << kWindow); ++w) {
-        for (int i = 0; i < neighborhood::kCount; ++i) {
-          const int j = neighborhood::kOffsets[i][1] + neighborhood::kMargin;
-          if (neighborhood::kOffsets[i][0] == kRowOffsets[g] && ((w >> j) & 1)) {
-            bits[g][w] |= 1 << i;
-          }
-        }
-      }
-    }
-  }
-};
-constexpr WindowTables kWindowTables;
-
-/// neighborhood::index(x, r, c) with the rows of `src` (the mirrored rows
-/// r + kRowOffsets[g]) already resolved: word-parallel window reads for
-/// interior columns, the scalar mirror at the left and right border.
-inline int live_index(const squish::Topology& x, const std::uint64_t* const src[kRowCount],
-                      int r, int c) {
-  if (c < neighborhood::kMargin || c >= x.cols() - neighborhood::kMargin) {
-    return neighborhood::index(x, r, c);
-  }
-  const int lo = c - neighborhood::kMargin;
-  const int word = lo >> 6;
-  const int shift = lo & 63;
-  constexpr std::uint64_t kMask = (1u << kWindow) - 1;
-  int index = 0;
-  if (shift <= 64 - kWindow) {
-    for (int g = 0; g < kRowCount; ++g) {
-      index |= kWindowTables.bits[g][(src[g][word] >> shift) & kMask];
-    }
-  } else {
-    for (int g = 0; g < kRowCount; ++g) {
-      const std::uint64_t v = (src[g][word] >> shift) | (src[g][word + 1] << (64 - shift));
-      index |= kWindowTables.bits[g][v & kMask];
-    }
-  }
-  return index;
-}
+// pixel's 17-bit neighbourhood index is read from the live grid
+// (neighborhood::index_at, rows resolved once per row) and the denoiser is
+// queried by index. Pixels are visited, and the RNG drawn, in exactly the
+// order of the scalar loops kept in diffusion/reference.cpp.
 
 /// MAP decisions memoised by neighbourhood index for one sweep: a decision
 /// depends only on the index (the pixel's own value is its centre bit).
@@ -202,17 +151,14 @@ void sweep(squish::Topology& x, const Sweep& s, const squish::Topology& keep,
   const int cols = x.cols();
   MapMemo& memo = map_memo();
   if (!rng) memo.reset();
-  const std::uint64_t* src[kRowCount];
   for (int rr = 0; rr < rows; ++rr) {
     const int r = s.bottom_up ? rows - 1 - rr : rr;
     const bool reverse_cols = (rr % 2) == 1;
-    for (int g = 0; g < kRowCount; ++g) {
-      src[g] = x.row_words(neighborhood::fold_mirror(r + kRowOffsets[g], rows));
-    }
+    const neighborhood::RowSources src(x, r);
     for (int cc = 0; cc < cols; ++cc) {
       const int c = reverse_cols ? cols - 1 - cc : cc;
       if (!keep.empty() && keep.at(r, c)) continue;
-      const int index = live_index(x, src, r, c);
+      const int index = neighborhood::index_at(src, c);
       int v;
       if (rng) {
         v = rng->bernoulli(sweep_p1(s, index)) ? 1 : 0;

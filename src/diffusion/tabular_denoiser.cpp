@@ -25,14 +25,6 @@ TabularDenoiser::TabularDenoiser(const NoiseSchedule& schedule, const TabularCon
   density_den_.assign(static_cast<std::size_t>(config.conditions), 0.0);
 }
 
-void TabularDenoiser::row_indices(const squish::Topology& t, int r, int* indices) const {
-  if (packed_gather_) {
-    neighborhood::indices_row(t, r, indices);
-  } else {
-    for (int c = 0; c < t.cols(); ++c) indices[c] = neighborhood::index(t, r, c);
-  }
-}
-
 int TabularDenoiser::bucket_of(int k) const {
   // Buckets are uniform in *cumulative flip probability*, matching the
   // sampler's noise-uniform stride: the informative timesteps cluster where
@@ -72,7 +64,7 @@ void TabularDenoiser::fit(const std::vector<squish::Topology>& topologies, int c
         const squish::Topology xk = forward_noise(x0, *schedule_, k, rng);
         std::vector<int> indices(static_cast<std::size_t>(x0.cols()));
         for (int r = 0; r < x0.rows(); ++r) {
-          row_indices(xk, r, indices.data());
+          neighborhood::indices_row(xk, r, indices.data());
           for (int c = 0; c < x0.cols(); ++c) {
             const std::size_t cc = cell(condition, bucket, indices[static_cast<std::size_t>(c)]);
             ones_[cc] += x0.at(r, c);
@@ -89,32 +81,10 @@ double TabularDenoiser::class_density(int condition) const {
   return den <= 0.0 ? 0.5 : density_num_[static_cast<std::size_t>(condition)] / den;
 }
 
-void TabularDenoiser::predict_x0(const squish::Topology& xk, int k, int condition,
-                                 ProbGrid& p0) const {
-  if (condition < 0 || condition >= config_.conditions) {
-    throw std::out_of_range("TabularDenoiser::predict_x0: bad condition");
-  }
-  const int bucket = bucket_of(k);
-  const double prior = class_density(condition);
-  const double alpha = config_.smoothing;
-  p0.resize(xk.size());
-  std::size_t out = 0;
-  std::vector<int> indices(static_cast<std::size_t>(xk.cols()));
-  for (int r = 0; r < xk.rows(); ++r) {
-    row_indices(xk, r, indices.data());
-    for (int c = 0; c < xk.cols(); ++c) {
-      const std::size_t cc = cell(condition, bucket, indices[static_cast<std::size_t>(c)]);
-      const double n1 = static_cast<double>(ones_[cc]);
-      const double n = static_cast<double>(totals_[cc]);
-      p0[out++] = static_cast<float>((n1 + alpha * prior) / (n + alpha));
-    }
-  }
-}
-
 namespace {
-/// One (condition, bucket) slice of the count tables with the smoothing
-/// prior folded in; the same arithmetic as predict_x0.
-class TabularStep : public Denoiser::StepPredictor {
+/// One (condition, bucket) slice of the count tables, smoothed toward the
+/// class density: P(x0=1 | index) = (ones + alpha * prior) / (total + alpha).
+class TabularStep final : public Denoiser::StepPredictor {
  public:
   TabularStep(const std::uint32_t* ones, const std::uint32_t* totals, double alpha, double prior)
       : ones_(ones), totals_(totals), alpha_(alpha), alpha_prior_(alpha * prior) {}
@@ -134,11 +104,24 @@ class TabularStep : public Denoiser::StepPredictor {
 
 std::unique_ptr<Denoiser::StepPredictor> TabularDenoiser::at_step(int k, int condition) const {
   if (condition < 0 || condition >= config_.conditions) {
-    throw std::out_of_range("TabularDenoiser::at_step: bad condition");
+    throw std::out_of_range("TabularDenoiser: bad condition");
   }
   const std::size_t base = cell(condition, bucket_of(k), 0);
   return std::make_unique<TabularStep>(ones_.data() + base, totals_.data() + base,
                                        config_.smoothing, class_density(condition));
+}
+
+void TabularDenoiser::predict_x0(const squish::Topology& xk, int k, int condition,
+                                 ProbGrid& p0) const {
+  const auto step = at_step(k, condition);
+  const TabularStep& model = static_cast<const TabularStep&>(*step);
+  p0.resize(xk.size());
+  std::size_t out = 0;
+  std::vector<int> indices(static_cast<std::size_t>(xk.cols()));
+  for (int r = 0; r < xk.rows(); ++r) {
+    neighborhood::indices_row(xk, r, indices.data());
+    for (int c = 0; c < xk.cols(); ++c) p0[out++] = model.p0(indices[static_cast<std::size_t>(c)]);
+  }
 }
 
 void TabularDenoiser::save(std::ostream& os) const {

@@ -58,22 +58,15 @@ class TabularDenoiser : public Denoiser {
   /// Empirical class density (fraction of 1s seen in training data).
   double class_density(int condition) const;
 
-  /// Route fit/predict through the scalar per-cell gather instead of the
-  /// packed row kernel. Benchmark/test hook only (before/after rows in
-  /// BENCH_denoiser.json); outputs are bit-identical either way.
-  void set_packed_gather(bool enabled) { packed_gather_ = enabled; }
-
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
  private:
   int bucket_of(int k) const;
   std::size_t cell(int condition, int bucket, int index) const;
-  void row_indices(const squish::Topology& t, int r, int* indices) const;
 
   const NoiseSchedule* schedule_;
   TabularConfig config_;
-  bool packed_gather_ = true;
   std::vector<std::uint32_t> ones_;
   std::vector<std::uint32_t> totals_;
   std::vector<double> density_num_;  // per-condition filled-cell counts
