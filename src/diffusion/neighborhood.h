@@ -1,24 +1,30 @@
 #pragma once
-// The 17-cell denoiser neighbourhood and its packed index reader.
+// The 17-cell denoiser neighbourhood and its packed index readers.
 //
 // Every denoiser conditions each pixel on the same neighbourhood (the
 // diamond + ring + distance-4 probes of TabularDenoiser) and sees it as one
 // 17-bit *index*: bit i is the cell at offset kOffsets[i]. The offsets sit
-// on seven rows (dr = -4, -2, -1, 0, +1, +2, +4). Once those rows are
-// resolved for a row r (RowSources, mirrored at the top and bottom border),
-// the index of an interior cell c is read from 9-cell windows
-// (columns c-4..c+4) of the packed row words: one funnel shift per row, one
-// table lookup for the live row, one for the two rows at distance 1, and a
-// single bit each for the distance-2 and distance-4 probes. Cells within
-// kMargin of the left or right border mirror each column instead. See
-// docs/GRID.md for the cost model.
+// on seven rows (dr = -4, -2, -1, 0, +1, +2, +4); RowSources resolves them
+// once per grid row, mirrored at the top and bottom border. Two readers
+// share it:
 //
-// The reader always sees the grid as it is at the call, so the sampler's
-// in-place sweep can read indices from the grid it is updating.
+// - index_at, one cell: 9-cell windows (columns c-4..c+4) of the packed row
+//   words, one funnel shift per row, one table lookup for the live row, one
+//   for the two rows at distance 1 and a single bit each for the distance-2
+//   and distance-4 probes. It sees the grid as it is at the call, so the
+//   sampler's in-place reverse sweep reads indices from the grid it is
+//   updating.
+// - indices_row, a whole row: one funnel-shifted 64-bit plane per offset and
+//   a 64x64 bit transpose yield 64 indices at once (the full-grid
+//   predictions and training).
+//
+// Cells within kMargin of the left or right border mirror each column. See
+// docs/GRID.md for the cost model.
 
 #include <array>
 #include <cstdint>
 
+#include "geometry/bitgrid.h"
 #include "squish/topology.h"
 
 namespace cp::diffusion::neighborhood {
@@ -172,9 +178,40 @@ inline int index(const squish::Topology& t, int r, int c) {
 }
 
 /// Fill `indices[0..cols)` with the neighbourhood indices of row `r`.
+/// Interior columns go a word at a time: one funnel-shifted 64-bit plane
+/// per offset (bit j = the offset's cell for column w*64 + j), and a 64x64
+/// bit transpose turns the 17 planes into the 64 indices. Equal to
+/// index_at per cell.
 inline void indices_row(const squish::Topology& t, int r, int* indices) {
   const RowSources src(t, r);
-  for (int c = 0; c < t.cols(); ++c) indices[c] = index_at(src, c);
+  const int cols = t.cols();
+  const int words = t.words_per_row();
+  for (int wi = 0; wi < words; ++wi) {
+    const int base = wi * 64;
+    const int c_lo = base > kMargin ? base : kMargin;
+    const int c_hi = base + 64 < cols - kMargin ? base + 64 : cols - kMargin;
+    if (c_lo >= c_hi) continue;
+    std::uint64_t idx[64] = {};
+    for (int i = 0; i < kCount; ++i) {
+      const std::uint64_t* row = src.row[detail::kSlot[i]];
+      const int dc = kOffsets[i][1];
+      const std::uint64_t w = row[wi];
+      if (dc > 0) {
+        idx[i] = (w >> dc) | (wi + 1 < words ? row[wi + 1] << (64 - dc) : 0);
+      } else if (dc < 0) {
+        idx[i] = (w << -dc) | (wi > 0 ? row[wi - 1] >> (64 + dc) : 0);
+      } else {
+        idx[i] = w;
+      }
+    }
+    geometry::bitgrid_transpose64(idx);
+    for (int c = c_lo; c < c_hi; ++c) indices[c] = static_cast<int>(idx[c - base]);
+  }
+  const int edge = cols < kMargin ? cols : kMargin;
+  for (int c = 0; c < edge; ++c) indices[c] = index_at(src, c);
+  for (int c = cols - kMargin > edge ? cols - kMargin : edge; c < cols; ++c) {
+    indices[c] = index_at(src, c);
+  }
 }
 
 }  // namespace cp::diffusion::neighborhood

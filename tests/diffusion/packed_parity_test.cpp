@@ -62,7 +62,11 @@ TEST(PackedParityTest, NeighborhoodIndicesMatchReference) {
     for (int r = 0; r < s.rows; ++r) {
       neighborhood::indices_row(t, r, idx.data());
       for (int c = 0; c < s.cols; ++c) {
-        ASSERT_EQ(idx[static_cast<std::size_t>(c)], reference_neighborhood_index(b, r, c))
+        const int expected = reference_neighborhood_index(b, r, c);
+        ASSERT_EQ(idx[static_cast<std::size_t>(c)], expected)
+            << s.rows << "x" << s.cols << " cell (" << r << "," << c << ")";
+        // The per-cell windowed reader the reverse sweep uses.
+        ASSERT_EQ(neighborhood::index(t, r, c), expected)
             << s.rows << "x" << s.cols << " cell (" << r << "," << c << ")";
       }
     }
