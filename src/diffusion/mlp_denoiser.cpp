@@ -141,7 +141,7 @@ bool MlpDenoiser::use_int8() const {
 }
 
 void MlpDenoiser::predict_x0_indices(const int* indices, int n, int k, int condition,
-                                float* out) const {
+                                     float* out) const {
   InferCtx& ctx = infer_ctx();
   const int dim = feature_dim();
   const double t = static_cast<double>(k) / static_cast<double>(schedule_->steps());
